@@ -11,7 +11,9 @@
 
 use dna_bench::{patterned_payload, FigureOutput, Scale};
 use dna_channel::{AnonymousPool, ChannelModel, ErrorModel};
-use dna_storage::{CodecParams, Layout, Pipeline, RecoveryPipeline, RecoveryReport, Scenario};
+use dna_storage::{
+    CodecParams, DecodeWorkspace, Layout, Pipeline, RecoveryPipeline, RecoveryReport, Scenario,
+};
 
 fn main() {
     let scale = Scale::from_env();
@@ -67,6 +69,7 @@ fn main() {
             scenario.validate().expect("static scenario is valid");
             let (mut oracle_ok, mut recovered_ok) = (0usize, 0usize);
             let mut recovery = RecoveryReport::default();
+            let mut workspace = DecodeWorkspace::new();
             for t in 0..trials {
                 let pool =
                     pipeline.sequence_with(&scenario.backend(), &unit, 0, scenario.trial_seed(t));
@@ -76,7 +79,7 @@ fn main() {
                 let anon = AnonymousPool::from_clusters(&clusters, scenario.anonymize_seed(t));
                 // A fully orphaned pool is a failed retrieval, not a
                 // crash: the miss is counted and the loop moves on.
-                if let Ok((recovered, report)) = pipeline.decode_pool(&anon) {
+                if let Ok((recovered, report)) = pipeline.decode_pool(&anon, &mut workspace) {
                     recovered_ok += usize::from(recovered == payload);
                     recovery.merge_from(&report.recovery.expect("recovery stats"));
                 }

@@ -104,7 +104,10 @@ fn main() {
                 let clusters: Vec<Vec<Cluster>> =
                     pools.iter().map(|p| p.at_coverage(coverage)).collect();
                 let mut decoded = Vec::new();
-                for (bytes, _) in pipeline.decode_batch(&clusters).expect("decode") {
+                for (bytes, _) in pipeline
+                    .decode_batch(&clusters, pipeline.decode_options())
+                    .expect("decode")
+                {
                     decoded.extend_from_slice(&bytes);
                 }
                 if decoded == payload {

@@ -10,7 +10,7 @@ use dna_channel::{CoverageModel, ErrorModel};
 use dna_gf::Field;
 use dna_media::rank::{BitRanker, OracleRanker, PositionRanker};
 use dna_media::{GrayImage, JpegLikeCodec};
-use dna_storage::{CodecParams, Layout, Pipeline, RetrieveOptions};
+use dna_storage::{CodecParams, DecodeWorkspace, Layout, Pipeline, RetrieveOptions};
 use dna_strand::bits::{get_bit, set_bit};
 
 /// Permutes file bits into priority order (stream[q] = file[order[q]]).
@@ -92,6 +92,7 @@ fn main() {
         };
         let unit = pipeline.encode_unit(&payload).expect("encode");
         let mut losses = vec![0.0f64; coverages.len()];
+        let mut workspace = DecodeWorkspace::new();
         for t in 0..trials {
             let pool = pipeline.sequence(&unit, model, CoverageModel::Fixed(20), 1600 + t as u64);
             // Perfect clustering ⇒ cluster identity is known (paper
@@ -103,7 +104,7 @@ fn main() {
             };
             for (i, &cov) in coverages.iter().enumerate() {
                 let (decoded, _) = pipeline
-                    .decode_unit_with(&pool.at_coverage(cov), &opts)
+                    .decode_unit_with_workspace(&pool.at_coverage(cov), &opts, &mut workspace)
                     .expect("decode");
                 let bytes = match order {
                     Some(o) => unpermute(&decoded[..file.len()], o),

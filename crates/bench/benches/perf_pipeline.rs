@@ -78,7 +78,13 @@ fn bench_pipeline(c: &mut Criterion) {
     let per_unit: Vec<Vec<dna_channel::Cluster>> =
         pools.iter().map(|p| p.clusters().to_vec()).collect();
     c.bench_function("decode_batch_8_units_cov10_p3pct", |b| {
-        b.iter(|| black_box(pipeline.decode_batch(&per_unit).unwrap()))
+        b.iter(|| {
+            black_box(
+                pipeline
+                    .decode_batch(&per_unit, pipeline.decode_options())
+                    .unwrap(),
+            )
+        })
     });
 }
 

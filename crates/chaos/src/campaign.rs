@@ -14,8 +14,8 @@ use crate::verdict::{score_bytes, score_decode, Verdict, VerdictTally};
 use dna_channel::{AnonymousPool, ChannelModel, ErrorModel};
 use dna_object::{ObjectStore, StoreConfig};
 use dna_storage::{
-    CodecParams, DecodeReport, Layout, Pipeline, ProtectionPlanner, RecoveryPipeline, Scenario,
-    SkewProfile, StorageError,
+    CodecParams, DecodeReport, DecodeWorkspace, Layout, Pipeline, PipelineBuilder,
+    ProtectionPlanner, RecoveryPipeline, Scenario, SkewProfile, StorageError,
 };
 use std::path::PathBuf;
 
@@ -322,13 +322,12 @@ pub fn run_campaign(
     scenarios: &[ChaosScenario],
     config: &CampaignConfig,
 ) -> Result<ChaosReport, StorageError> {
-    let pipeline = Pipeline::builder()
+    let builder = Pipeline::builder()
         .params(config.params.clone())
-        .layout(Layout::Baseline)
-        .build()?;
+        .layout(Layout::Baseline);
     let mut outcomes = Vec::with_capacity(scenarios.len());
     for scenario in scenarios {
-        outcomes.push(run_scenario(&pipeline, scenario, config)?);
+        outcomes.push(run_scenario(&builder, scenario, config)?);
     }
     Ok(ChaosReport {
         seed: config.seed,
@@ -336,15 +335,16 @@ pub fn run_campaign(
     })
 }
 
-/// Runs one scenario's trials through an explicit pipeline (the hook
-/// the closed loop uses to compare uniform vs planned protection under
-/// identical chaos).
+/// Runs one scenario's trials through pipelines built from `builder`
+/// (the hook the closed loop uses to compare uniform vs planned
+/// protection under identical chaos). Pool scenarios add their recovery
+/// stage to the builder.
 ///
 /// # Errors
 ///
 /// See [`run_campaign`].
 pub fn run_scenario(
-    pipeline: &Pipeline,
+    builder: &PipelineBuilder,
     scenario: &ChaosScenario,
     config: &CampaignConfig,
 ) -> Result<ScenarioOutcome, StorageError> {
@@ -358,6 +358,12 @@ pub fn run_scenario(
             anchored,
             payload,
         } => {
+            let recovery = if *anchored {
+                RecoveryPipeline::anchored(None)
+            } else {
+                RecoveryPipeline::default()
+            };
+            let pipeline = builder.clone().recovery(recovery).build()?;
             let payload = payload.build(pipeline.payload_capacity());
             let unit = pipeline.encode_unit(&payload)?;
             // A decoy unit from a different payload supplies the
@@ -394,12 +400,7 @@ pub fn run_scenario(
                     + 2,
                 foreign_reads,
             };
-            let recovery = if *anchored {
-                RecoveryPipeline::anchored(None)
-            } else {
-                RecoveryPipeline::default()
-            };
-            dna_parallel::parallel_map(config.trials, |t| {
+            dna_parallel::parallel_map_init(config.trials, DecodeWorkspace::new, |ws, t| {
                 let ts = splitmix64(
                     scenario_seed.wrapping_add((t as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
                 );
@@ -412,7 +413,7 @@ pub fn run_scenario(
                 plan.apply(&mut clusters, &ctx, splitmix64(ts ^ 0xFA17));
                 let outcome = if *unlabeled {
                     let anon = AnonymousPool::from_clusters(&clusters, splitmix64(ts ^ 0x0A17));
-                    pipeline.decode_pool_with(&anon, &recovery)
+                    pipeline.decode_pool(&anon, ws)
                 } else {
                     pipeline.decode_unit(&clusters)
                 };
@@ -538,8 +539,7 @@ pub fn closed_loop(
     }
     let uniform = Pipeline::builder()
         .params(config.params.clone())
-        .layout(Layout::Baseline)
-        .build()?;
+        .layout(Layout::Baseline);
     // Provision: measure the per-row damage empirically, through the
     // uniform pipeline, under the same chaos the deployment will face
     // (no oracle access to the fault plan) — but at 1.5× the deployment
@@ -559,9 +559,8 @@ pub fn closed_loop(
     let planned = Pipeline::builder()
         .params(config.params.clone())
         .layout(Layout::Baseline)
-        .protection(ProtectionPlanner::new(profile).min_parity(min_parity))
-        .build()?;
-    let plan_summary = planned.protection_plan().summary();
+        .protection(ProtectionPlanner::new(profile).min_parity(min_parity));
+    let plan_summary = planned.clone().build()?.protection_plan().summary();
 
     let uniform_outcome = run_scenario(&uniform, scenario, config)?;
     let planned_outcome = run_scenario(&planned, scenario, config)?;

@@ -12,8 +12,8 @@
 use dna_channel::{unit_seed, AnonymousPool, ChannelModel, ErrorModel, ReadPool};
 use dna_object::{ObjectStore, StoreConfig};
 use dna_storage::{
-    CodecParams, DecodeReport, Layout, Pipeline, PlannerWarning, ProtectionPlan, ProtectionPlanner,
-    RecoveryPipeline, Scenario, SkewProfile, StorageError,
+    CodecParams, DecodeReport, DecodeWorkspace, Layout, Pipeline, PlannerWarning, ProtectionPlan,
+    ProtectionPlanner, RecoveryPipeline, Scenario, SkewProfile, StorageError,
 };
 use dna_strand::{DnaString, TranscoderSpec};
 use std::fmt;
@@ -449,7 +449,7 @@ pub fn decode(text: &str) -> Result<(Vec<u8>, Vec<DecodeReport>), CliError> {
         .collect();
     let mut payload = Vec::with_capacity(payload_len);
     let mut reports = Vec::with_capacity(units.len());
-    for (bytes, report) in pipeline.decode_batch(&per_unit_clusters)? {
+    for (bytes, report) in pipeline.decode_batch(&per_unit_clusters, pipeline.decode_options())? {
         payload.extend_from_slice(&bytes);
         reports.push(report);
     }
@@ -557,7 +557,7 @@ pub fn simulate_planned(
     let mut merged = DecodeReport::default();
     let cap = pipeline.payload_capacity();
     for (u, (bytes, report)) in pipeline
-        .decode_batch(&per_unit_clusters)?
+        .decode_batch(&per_unit_clusters, pipeline.decode_options())?
         .into_iter()
         .enumerate()
     {
@@ -634,10 +634,11 @@ pub fn simulate_unlabeled(
     let mut decoded = Vec::with_capacity(payload.len());
     let mut merged = DecodeReport::default();
     let cap = pipeline.payload_capacity();
+    let mut workspace = DecodeWorkspace::new();
     for (u, anon) in anonymous.iter().enumerate() {
         let lo = (u * cap).min(payload.len());
         let hi = ((u + 1) * cap).min(payload.len());
-        match pipeline.decode_pool(anon) {
+        match pipeline.decode_pool(anon, &mut workspace) {
             Ok((bytes, report)) => {
                 decoded.extend_from_slice(&bytes[..hi - lo]);
                 merged.merge_from(&report);

@@ -357,7 +357,7 @@ impl ArchiveCodec {
     }
 
     /// Decodes the archive from per-unit cluster sets via
-    /// [`Pipeline::decode_batch_with`].
+    /// [`Pipeline::decode_batch`].
     ///
     /// # Errors
     ///
@@ -369,7 +369,7 @@ impl ArchiveCodec {
         per_unit_clusters: &[Vec<Cluster>],
         opts: &RetrieveOptions,
     ) -> Result<(Archive, Vec<DecodeReport>), StorageError> {
-        let decoded = self.pipeline.decode_batch_with(per_unit_clusters, opts)?;
+        let decoded = self.pipeline.decode_batch(per_unit_clusters, opts)?;
         let (payloads, reports): (Vec<Vec<u8>>, Vec<DecodeReport>) = decoded.into_iter().unzip();
         let stream = self.join_units(&payloads);
         let archive = self.parse_stream(&stream)?;

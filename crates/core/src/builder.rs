@@ -214,9 +214,9 @@ impl PipelineBuilder {
         self
     }
 
-    /// Configures the unlabeled-pool recovery stage
-    /// ([`Pipeline::decode_pool`](crate::Pipeline::decode_pool) and
-    /// friends). Pipelines without one fall back to
+    /// Configures the unlabeled-pool recovery stage that
+    /// [`Pipeline::recover_pool`](crate::Pipeline::recover_pool) and
+    /// [`Pipeline::decode_pool`](crate::Pipeline::decode_pool) run. Pipelines without one fall back to
     /// [`RecoveryPipeline::default`] on demand.
     pub fn recovery(mut self, recovery: RecoveryPipeline) -> Self {
         self.recovery = Some(recovery);
@@ -224,9 +224,11 @@ impl PipelineBuilder {
     }
 
     /// Default [`RetrieveOptions`] applied by
-    /// [`Pipeline::decode_unit`](crate::Pipeline::decode_unit) and the
-    /// batch decode entry points (explicit `_with` variants still
-    /// override per call).
+    /// [`Pipeline::decode_unit`](crate::Pipeline::decode_unit) (and, for
+    /// their forced erasures, by
+    /// [`Pipeline::decode_pool`](crate::Pipeline::decode_pool)); the
+    /// entry points that take explicit options read them back through
+    /// [`Pipeline::decode_options`](crate::Pipeline::decode_options).
     pub fn decode_options(mut self, options: RetrieveOptions) -> Self {
         self.decode_options = options;
         self

@@ -11,9 +11,10 @@
 use crate::archive::{Archive, ArchiveCodec};
 use crate::pipeline::{Pipeline, RetrieveOptions};
 use crate::scenario::Scenario;
+use crate::workspace::DecodeWorkspace;
 use crate::StorageError;
 use dna_channel::{unit_seed, AnonymousPool, Cluster};
-use dna_parallel::parallel_map;
+use dna_parallel::{parallel_map, parallel_map_init};
 
 /// Runs the unlabeled-retrieval front half for one coverage draw:
 /// anonymize the clusters under a stream-derived seed, then recover
@@ -89,9 +90,10 @@ pub fn min_coverage_with(
 
     // Per trial: the index of the first succeeding coverage (or None).
     let candidates = &candidates;
-    let firsts = parallel_map(
+    let firsts = parallel_map_init(
         scenario.trials,
-        |t| -> Result<Option<usize>, StorageError> {
+        DecodeWorkspace::new,
+        |ws, t| -> Result<Option<usize>, StorageError> {
             let pool = pipeline.sequence_with(&backend, &unit, 0, scenario.trial_seed(t));
             for (i, &cov) in candidates.iter().enumerate() {
                 let mut clusters = pool.at_coverage(cov);
@@ -105,7 +107,8 @@ pub fn min_coverage_with(
                 } else {
                     retrieve
                 };
-                let (decoded, report) = pipeline.decode_unit_with(&clusters, retrieve)?;
+                let (decoded, report) =
+                    pipeline.decode_unit_with_workspace(&clusters, retrieve, ws)?;
                 if report.is_error_free() && decoded == expected {
                     return Ok(Some(i));
                 }

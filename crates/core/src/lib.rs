@@ -18,6 +18,21 @@
 //! clustered, reconstructed by two-sided consensus, and decoded with
 //! errors-and-erasures Reed–Solomon.
 //!
+//! # Decoding
+//!
+//! Every read runs one body,
+//! [`Pipeline::decode_unit_with_workspace`]: consensus, index and symbol
+//! transcode, Reed–Solomon over the layout's codewords, unmap. The other
+//! decode entry points are short calls into it:
+//!
+//! - [`Pipeline::decode_unit`] — default options, per-thread workspace;
+//! - [`Pipeline::decode_batch`] — many units in parallel, one workspace
+//!   per worker;
+//! - [`Pipeline::recover_pool`] — cluster → orient → demux of an
+//!   unlabeled pool, without decoding;
+//! - [`Pipeline::decode_pool`] — `recover_pool`, then the body with
+//!   [`RetrieveOptions::recovered`], with the recovery report attached.
+//!
 //! # Examples
 //!
 //! ```

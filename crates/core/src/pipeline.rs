@@ -159,9 +159,11 @@ impl RetrieveOptions {
     /// The options of the recovered (post-demux) decode path: placement
     /// trusts the recovered cluster labels — the ordering index was
     /// already decoded by the demultiplexer's vote — while the caller's
-    /// forced erasures still apply. The single source of truth for every
-    /// unlabeled decode site ([`Pipeline::decode_pool`], the experiment
-    /// harnesses).
+    /// forced erasures still apply. [`Pipeline::decode_pool`] decodes
+    /// recovered clusters with these options; callers that run
+    /// [`Pipeline::recover_pool`] themselves (the experiment harnesses)
+    /// pass them to [`Pipeline::decode_unit_with_workspace`] and get the
+    /// same bytes.
     pub fn recovered(forced_erasures: Vec<usize>) -> RetrieveOptions {
         RetrieveOptions {
             forced_erasures,
@@ -298,7 +300,8 @@ impl Pipeline {
     }
 
     /// The default [`RetrieveOptions`] applied by [`Pipeline::decode_unit`]
-    /// and [`Pipeline::decode_batch`].
+    /// (and, for its forced erasures, by [`Pipeline::decode_pool`]); pass
+    /// it to the entry points that take explicit options.
     pub fn decode_options(&self) -> &RetrieveOptions {
         &self.default_retrieve
     }
@@ -509,7 +512,10 @@ impl Pipeline {
 
     /// Decodes one unit from its clusters with this pipeline's default
     /// [`RetrieveOptions`] (set via
-    /// [`PipelineBuilder::decode_options`](crate::PipelineBuilder::decode_options)).
+    /// [`PipelineBuilder::decode_options`](crate::PipelineBuilder::decode_options))
+    /// against a per-thread [`DecodeWorkspace`]. Callers that keep their
+    /// own workspace, or need other options, use
+    /// [`Pipeline::decode_unit_with_workspace`].
     ///
     /// # Errors
     ///
@@ -520,48 +526,26 @@ impl Pipeline {
         &self,
         clusters: &[Cluster],
     ) -> Result<(Vec<u8>, DecodeReport), StorageError> {
-        self.decode_unit_with(clusters, &self.default_retrieve)
-    }
-
-    /// Decodes one unit with explicit [`RetrieveOptions`].
-    ///
-    /// Internally this borrows a per-thread [`DecodeWorkspace`]; batch
-    /// callers that manage their own workspaces use
-    /// [`Pipeline::decode_unit_with_workspace`].
-    ///
-    /// # Errors
-    ///
-    /// See [`Pipeline::decode_unit`].
-    pub fn decode_unit_with(
-        &self,
-        clusters: &[Cluster],
-        opts: &RetrieveOptions,
-    ) -> Result<(Vec<u8>, DecodeReport), StorageError> {
         thread_local! {
             static WORKSPACE: RefCell<DecodeWorkspace> = RefCell::new(DecodeWorkspace::new());
         }
-        WORKSPACE.with(|ws| self.decode_unit_core(clusters, opts, &mut ws.borrow_mut()))
+        WORKSPACE.with(|ws| {
+            self.decode_unit_with_workspace(clusters, &self.default_retrieve, &mut ws.borrow_mut())
+        })
     }
 
-    /// [`Pipeline::decode_unit_with`] against a caller-owned
-    /// [`DecodeWorkspace`]: after the workspace's first use, the column
-    /// assembly, erasure bookkeeping, and Reed–Solomon stages allocate
-    /// nothing. Results are byte-identical to the workspace-free API no
-    /// matter what the workspace was previously used for.
+    /// Decodes one unit with explicit [`RetrieveOptions`] against a
+    /// caller-owned [`DecodeWorkspace`] — the one body every decode entry
+    /// point runs: consensus, index and symbol transcode, Reed–Solomon
+    /// over the layout's codewords, unmap. After the workspace's first
+    /// use, the column assembly, erasure bookkeeping, and Reed–Solomon
+    /// stages allocate nothing. Results are byte-identical no matter what
+    /// the workspace was previously used for.
     ///
     /// # Errors
     ///
     /// See [`Pipeline::decode_unit`].
     pub fn decode_unit_with_workspace(
-        &self,
-        clusters: &[Cluster],
-        opts: &RetrieveOptions,
-        workspace: &mut DecodeWorkspace,
-    ) -> Result<(Vec<u8>, DecodeReport), StorageError> {
-        self.decode_unit_core(clusters, opts, workspace)
-    }
-
-    fn decode_unit_core(
         &self,
         clusters: &[Cluster],
         opts: &RetrieveOptions,
@@ -712,11 +696,13 @@ impl Pipeline {
         Ok((payload, report))
     }
 
-    /// Decodes many units in parallel across scoped threads with this
-    /// pipeline's default [`RetrieveOptions`].
+    /// Decodes many units in parallel across scoped threads, one
+    /// [`DecodeWorkspace`] per worker. Pass
+    /// [`Pipeline::decode_options`] for this pipeline's defaults.
     ///
-    /// Results are byte-identical to calling [`Pipeline::decode_unit`] on
-    /// each cluster set in order, at any thread count.
+    /// Results are byte-identical to calling
+    /// [`Pipeline::decode_unit_with_workspace`] on each cluster set in
+    /// order, at any thread count.
     ///
     /// # Errors
     ///
@@ -725,22 +711,10 @@ impl Pipeline {
     pub fn decode_batch(
         &self,
         per_unit_clusters: &[Vec<Cluster>],
-    ) -> Result<Vec<(Vec<u8>, DecodeReport)>, StorageError> {
-        self.decode_batch_with(per_unit_clusters, &self.default_retrieve)
-    }
-
-    /// [`Pipeline::decode_batch`] with explicit [`RetrieveOptions`].
-    ///
-    /// # Errors
-    ///
-    /// See [`Pipeline::decode_batch`].
-    pub fn decode_batch_with(
-        &self,
-        per_unit_clusters: &[Vec<Cluster>],
         opts: &RetrieveOptions,
     ) -> Result<Vec<(Vec<u8>, DecodeReport)>, StorageError> {
         dna_parallel::parallel_map_init(per_unit_clusters.len(), DecodeWorkspace::new, |ws, u| {
-            self.decode_unit_core(&per_unit_clusters[u], opts, ws)
+            self.decode_unit_with_workspace(&per_unit_clusters[u], opts, ws)
         })
         .into_iter()
         .collect()
@@ -765,21 +739,19 @@ impl Pipeline {
         &self,
         pool: &AnonymousPool,
     ) -> Result<(Vec<Cluster>, crate::RecoveryReport), StorageError> {
-        self.effective_recovery()
-            .recover(&self.params, self.primers.as_ref().map(|(l, _)| l), pool)
-    }
-
-    /// The recovery stage pool decodes run: the builder-configured one,
-    /// or the default. (Cloning is cheap — a spec enum plus two scalars.)
-    fn effective_recovery(&self) -> RecoveryPipeline {
-        self.recovery.clone().unwrap_or_default()
+        self.recovery.clone().unwrap_or_default().recover(
+            &self.params,
+            self.primers.as_ref().map(|(l, _)| l),
+            pool,
+        )
     }
 
     /// Decodes one unit straight from an unlabeled, orientation-
-    /// randomized pool: recovery ([`Pipeline::recover_pool`]) followed by
-    /// the standard decode over the recovered clusters (placement trusts
-    /// the recovered labels — the index was already decoded by the demux
-    /// vote). The returned report carries the recovery outcome in
+    /// randomized pool: [`Pipeline::recover_pool`] followed by
+    /// [`Pipeline::decode_unit_with_workspace`] over the recovered clusters
+    /// with [`RetrieveOptions::recovered`] (placement trusts the recovered
+    /// labels — the index was already decoded by the demux vote). The
+    /// returned report carries the recovery outcome in
     /// [`DecodeReport::recovery`].
     ///
     /// On a zero-noise pool this is byte-identical to the labeled decode
@@ -795,68 +767,13 @@ impl Pipeline {
     pub fn decode_pool(
         &self,
         pool: &AnonymousPool,
-    ) -> Result<(Vec<u8>, DecodeReport), StorageError> {
-        self.decode_pool_with(pool, &self.effective_recovery())
-    }
-
-    /// [`Pipeline::decode_pool`] with an explicit [`RecoveryPipeline`].
-    ///
-    /// # Errors
-    ///
-    /// See [`Pipeline::decode_pool`].
-    pub fn decode_pool_with(
-        &self,
-        pool: &AnonymousPool,
-        recovery: &RecoveryPipeline,
-    ) -> Result<(Vec<u8>, DecodeReport), StorageError> {
-        let (clusters, recovery_report) =
-            recovery.recover(&self.params, self.primers.as_ref().map(|(l, _)| l), pool)?;
-        let opts = RetrieveOptions::recovered(self.default_retrieve.forced_erasures.clone());
-        let (payload, mut report) = self.decode_unit_with(&clusters, &opts)?;
-        report.recovery = Some(recovery_report);
-        Ok((payload, report))
-    }
-
-    /// [`Pipeline::decode_pool`] against a caller-owned
-    /// [`DecodeWorkspace`]: the decode half reuses the workspace instead
-    /// of the per-thread scratch, so long-lived workers (the serve path)
-    /// keep exactly one warm workspace per worker rather than one per OS
-    /// thread that ever decoded. Byte-identical to
-    /// [`Pipeline::decode_pool`].
-    ///
-    /// # Errors
-    ///
-    /// See [`Pipeline::decode_pool`].
-    pub fn decode_pool_with_workspace(
-        &self,
-        pool: &AnonymousPool,
         workspace: &mut DecodeWorkspace,
     ) -> Result<(Vec<u8>, DecodeReport), StorageError> {
-        let recovery = self.effective_recovery();
-        let (clusters, recovery_report) =
-            recovery.recover(&self.params, self.primers.as_ref().map(|(l, _)| l), pool)?;
+        let (clusters, recovery_report) = self.recover_pool(pool)?;
         let opts = RetrieveOptions::recovered(self.default_retrieve.forced_erasures.clone());
-        let (payload, mut report) = self.decode_unit_core(&clusters, &opts, workspace)?;
+        let (payload, mut report) = self.decode_unit_with_workspace(&clusters, &opts, workspace)?;
         report.recovery = Some(recovery_report);
         Ok((payload, report))
-    }
-
-    /// Decodes many units from their unlabeled pools in parallel across
-    /// scoped threads. Results are byte-identical to calling
-    /// [`Pipeline::decode_pool`] on each pool in order, at any thread
-    /// count.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first (lowest-index) per-unit error, as the serial
-    /// loop would.
-    pub fn decode_pool_batch(
-        &self,
-        pools: &[AnonymousPool],
-    ) -> Result<Vec<(Vec<u8>, DecodeReport)>, StorageError> {
-        dna_parallel::parallel_map(pools.len(), |u| self.decode_pool(&pools[u]))
-            .into_iter()
-            .collect()
     }
 
     /// Collects the reads that pass the primer check into `out`: the read
@@ -1024,7 +941,9 @@ mod tests {
             forced_erasures: vec![10, 11, 12], // 3 of the 5 parity molecules
             ..RetrieveOptions::default()
         };
-        let (decoded, report) = pipeline.decode_unit_with(pool.clusters(), &opts).unwrap();
+        let (decoded, report) = pipeline
+            .decode_unit_with_workspace(pool.clusters(), &opts, &mut DecodeWorkspace::new())
+            .unwrap();
         assert_eq!(decoded[..30], payload[..]);
         assert!(report.is_error_free());
         assert_eq!(report.lost_columns, 3);
@@ -1079,7 +998,9 @@ mod tests {
             trust_cluster_sources: true,
             ..RetrieveOptions::default()
         };
-        let (decoded, report) = pipeline.decode_unit_with(&clusters, &opts).unwrap();
+        let (decoded, report) = pipeline
+            .decode_unit_with_workspace(&clusters, &opts, &mut DecodeWorkspace::new())
+            .unwrap();
         // Columns 0/1 hold each other's data: the RS layer sees 2 errors
         // per codeword — within capacity (E=5 corrects 2), so the decode
         // still succeeds, proving placement came from the labels.
@@ -1098,7 +1019,9 @@ mod tests {
         let unit = pipeline.encode_unit(&payload).unwrap();
         let pool = pipeline.sequence(&unit, ErrorModel::noiseless(), CoverageModel::Fixed(4), 8);
         let (labeled, _) = pipeline.decode_unit(pool.clusters()).unwrap();
-        let (recovered, report) = pipeline.decode_pool(&pool.anonymize(21)).unwrap();
+        let (recovered, report) = pipeline
+            .decode_pool(&pool.anonymize(21), &mut DecodeWorkspace::new())
+            .unwrap();
         assert_eq!(labeled, recovered);
         assert_eq!(recovered[..30], payload[..]);
         let recovery = report.recovery.expect("pool decode carries recovery stats");
@@ -1107,41 +1030,6 @@ mod tests {
         assert_eq!(recovery.misassigned_reads, 0);
         assert_eq!(recovery.orphaned_reads, 0);
         assert_eq!(recovery.assigned_columns, 15);
-    }
-
-    #[test]
-    fn decode_pool_batch_matches_serial_pool_decodes() {
-        use crate::recovery::RecoveryPipeline;
-        let params = CodecParams::tiny().unwrap().with_primer_len(15);
-        let pipeline = Pipeline::builder()
-            .params(params)
-            .recovery(RecoveryPipeline::anchored(None))
-            .build()
-            .unwrap();
-        let payloads: Vec<Vec<u8>> = (0..3u8)
-            .map(|u| (0..30).map(|i| i * 7 + u).collect())
-            .collect();
-        let units = pipeline.encode_batch(&payloads).unwrap();
-        let pools: Vec<AnonymousPool> = units
-            .iter()
-            .enumerate()
-            .map(|(u, unit)| {
-                pipeline
-                    .sequence(
-                        unit,
-                        ErrorModel::uniform(0.01),
-                        CoverageModel::Fixed(6),
-                        40 + u as u64,
-                    )
-                    .anonymize(90 + u as u64)
-            })
-            .collect();
-        let batch = pipeline.decode_pool_batch(&pools).unwrap();
-        for (u, pool) in pools.iter().enumerate() {
-            let serial = pipeline.decode_pool(pool).unwrap();
-            assert_eq!(batch[u], serial, "unit {u}");
-            assert_eq!(batch[u].0[..30], payloads[u][..], "unit {u}");
-        }
     }
 
     fn headroom_params() -> CodecParams {

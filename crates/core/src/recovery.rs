@@ -187,14 +187,14 @@ enum ClustererSpec {
 
 /// The cluster → orient → demux stage preceding decode on unlabeled
 /// pools. Configure it on the builder
-/// ([`PipelineBuilder::recovery`](crate::PipelineBuilder::recovery)) or
-/// pass one explicitly to
-/// [`Pipeline::decode_pool_with`](crate::Pipeline::decode_pool_with).
+/// ([`PipelineBuilder::recovery`](crate::PipelineBuilder::recovery));
+/// [`Pipeline::recover_pool`](crate::Pipeline::recover_pool) and
+/// [`Pipeline::decode_pool`](crate::Pipeline::decode_pool) run it.
 ///
 /// # Examples
 ///
 /// ```
-/// use dna_storage::{CodecParams, Pipeline, RecoveryPipeline};
+/// use dna_storage::{CodecParams, DecodeWorkspace, Pipeline, RecoveryPipeline};
 /// use dna_channel::{CoverageModel, ErrorModel};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -211,7 +211,7 @@ enum ClustererSpec {
 /// let pool = pipeline
 ///     .sequence(&unit, ErrorModel::uniform(0.01), CoverageModel::Fixed(8), 3)
 ///     .anonymize(7);
-/// let (decoded, report) = pipeline.decode_pool(&pool)?;
+/// let (decoded, report) = pipeline.decode_pool(&pool, &mut DecodeWorkspace::new())?;
 /// assert_eq!(decoded, payload);
 /// let recovery = report.recovery.expect("pool decodes carry recovery stats");
 /// assert_eq!(recovery.total_reads, pool.len());

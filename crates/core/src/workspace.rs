@@ -5,8 +5,9 @@ use crate::matrix::SymbolMatrix;
 use dna_reed_solomon::RsScratch;
 use dna_strand::DnaString;
 
-/// Reusable scratch for [`Pipeline::decode_unit_with_workspace`]
-/// (and, one per worker thread, for [`Pipeline::decode_batch`]).
+/// Reusable scratch for [`Pipeline::decode_unit_with_workspace`] and
+/// [`Pipeline::decode_pool`] (and, one per worker thread, for
+/// [`Pipeline::decode_batch`]).
 ///
 /// A fresh workspace starts empty and grows to the pipeline's working set
 /// on first use; after that, the workspace-managed decode stages — column
@@ -18,6 +19,7 @@ use dna_strand::DnaString;
 /// or pipelines.
 ///
 /// [`Pipeline::decode_unit_with_workspace`]: crate::Pipeline::decode_unit_with_workspace
+/// [`Pipeline::decode_pool`]: crate::Pipeline::decode_pool
 /// [`Pipeline::decode_batch`]: crate::Pipeline::decode_batch
 #[derive(Debug, Clone, Default)]
 pub struct DecodeWorkspace {

@@ -7,8 +7,8 @@ use dna_channel::{
     AnonymousPool, ChannelError, ChannelModel, CoverageModel, ErrorModel, PositionProfile,
 };
 use dna_storage::{
-    min_coverage, CodecParams, GiniLayout, Layout, Pipeline, ProtectionPlan, ProtectionPlanner,
-    RecoveryPipeline, Scenario, SkewProfile, StorageError, UnitLayout,
+    min_coverage, CodecParams, DecodeWorkspace, GiniLayout, Layout, Pipeline, ProtectionPlan,
+    ProtectionPlanner, RecoveryPipeline, Scenario, SkewProfile, StorageError, UnitLayout,
 };
 
 fn tiny() -> CodecParams {
@@ -211,10 +211,19 @@ fn degenerate_scenarios_stay_vacuous_in_the_harnesses() {
     );
 }
 
-/// A primer-wrapped tiny pipeline and one sequenced unit for the
-/// recovery error paths.
+/// A primer-wrapped tiny pipeline running `recovery` on unlabeled pools.
+fn recovery_pipeline(recovery: RecoveryPipeline) -> Pipeline {
+    Pipeline::builder()
+        .params(tiny().with_primer_len(15))
+        .recovery(recovery)
+        .build()
+        .unwrap()
+}
+
+/// The default-recovery pipeline and one sequenced unit for the recovery
+/// error paths.
 fn recovery_fixture() -> (Pipeline, dna_channel::ReadPool) {
-    let pipeline = Pipeline::new(tiny().with_primer_len(15), Layout::Baseline).unwrap();
+    let pipeline = recovery_pipeline(RecoveryPipeline::default());
     let payload: Vec<u8> = (0..30u8).map(|i| i.wrapping_mul(13)).collect();
     let unit = pipeline.encode_unit(&payload).unwrap();
     let pool = pipeline.sequence(&unit, ErrorModel::noiseless(), CoverageModel::Fixed(3), 6);
@@ -228,7 +237,9 @@ fn empty_anonymous_pool_is_a_typed_error() {
         AnonymousPool::from_reads(Vec::new()),
         dna_channel::ReadPool::empty(15).anonymize(1),
     ] {
-        let err = pipeline.decode_pool(&empty).unwrap_err();
+        let err = pipeline
+            .decode_pool(&empty, &mut DecodeWorkspace::new())
+            .unwrap_err();
         assert!(matches!(err, StorageError::EmptyPool), "{err}");
         assert!(err.to_string().contains("nothing to recover"), "{err}");
     }
@@ -236,11 +247,11 @@ fn empty_anonymous_pool_is_a_typed_error() {
 
 #[test]
 fn every_read_orphaned_by_the_size_threshold_is_a_typed_error() {
-    let (pipeline, pool) = recovery_fixture();
+    let (_, pool) = recovery_fixture();
     // Coverage 3 per cluster; a minimum size of 50 orphans everything.
-    let recovery = RecoveryPipeline::greedy(None).min_cluster_size(50);
+    let pipeline = recovery_pipeline(RecoveryPipeline::greedy(None).min_cluster_size(50));
     let err = pipeline
-        .decode_pool_with(&pool.anonymize(9), &recovery)
+        .decode_pool(&pool.anonymize(9), &mut DecodeWorkspace::new())
         .unwrap_err();
     assert!(
         matches!(err, StorageError::AllReadsOrphaned { reads: 45, .. }),
@@ -251,7 +262,7 @@ fn every_read_orphaned_by_the_size_threshold_is_a_typed_error() {
 
 #[test]
 fn duplicate_cluster_index_collisions_are_typed_errors_in_strict_mode() {
-    let (pipeline, pool) = recovery_fixture();
+    let (_, pool) = recovery_fixture();
     // A zero clustering threshold splits each cluster's reads whenever
     // anything differs; duplicating one molecule's reads under a shifted
     // seed guarantees two distinct clusters voting for the same column.
@@ -263,8 +274,9 @@ fn duplicate_cluster_index_collisions_are_typed_errors_in_strict_mode() {
         dna_strand::DnaString::from_bases(bases)
     }));
     let anon = AnonymousPool::from_reads(doubled);
-    let strict = RecoveryPipeline::greedy(Some(0)).strict_duplicates(true);
-    let err = pipeline.decode_pool_with(&anon, &strict).unwrap_err();
+    let strict = recovery_pipeline(RecoveryPipeline::greedy(Some(0)).strict_duplicates(true));
+    let mut workspace = DecodeWorkspace::new();
+    let err = strict.decode_pool(&anon, &mut workspace).unwrap_err();
     assert!(
         matches!(err, StorageError::DuplicateClusterIndex { .. }),
         "{err}"
@@ -272,9 +284,9 @@ fn duplicate_cluster_index_collisions_are_typed_errors_in_strict_mode() {
     assert!(err.to_string().contains("strict duplicate"), "{err}");
 
     // The default (lenient) stage merges the fragments and decodes.
-    let lenient = RecoveryPipeline::greedy(Some(0));
-    let (decoded, report) = pipeline.decode_pool_with(&anon, &lenient).unwrap();
-    assert_eq!(decoded.len(), pipeline.payload_capacity());
+    let lenient = recovery_pipeline(RecoveryPipeline::greedy(Some(0)));
+    let (decoded, report) = lenient.decode_pool(&anon, &mut workspace).unwrap();
+    assert_eq!(decoded.len(), lenient.payload_capacity());
     assert!(report.recovery.unwrap().duplicate_index_merges > 0);
 }
 

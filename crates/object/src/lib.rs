@@ -9,6 +9,12 @@
 //! [`ObjectStore::put`] reads any [`std::io::Read`] one capsule at a time,
 //! and [`ObjectStore::fetch`] writes any [`std::io::Write`] the same way —
 //! multi-gigabyte objects encode and decode at a bounded peak RSS.
+//! Each capsule's units decode one after another through one
+//! [`DecodeWorkspace`](dna_storage::DecodeWorkspace):
+//! [`ObjectStore::fetch`] owns one per call, and long-lived callers (the
+//! serve workers) pass their own to [`ObjectStore::fetch_with_workspace`].
+//! [`FetchOptions::via_recovery`] sends every unit through unlabeled-pool
+//! recovery first ([`Pipeline::decode_pool`](dna_storage::Pipeline::decode_pool)).
 //!
 //! Random access is primer-addressed, mirroring PCR enrichment in wet
 //! protocols: the persisted [`Manifest`] maps `object_id → capsule

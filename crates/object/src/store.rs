@@ -14,9 +14,9 @@
 //! [`ObjectStore::rebuild_manifest`] is the last-resort full scan.
 
 use crate::capsule::{
-    capsule_primers, capsule_primers_attempt, scan_capsules, CapsuleHeader, LayoutKind, PoolHeader,
-    FLAG_COMPRESSED, FLAG_ENCRYPTED, FLAG_MANIFEST, FLAG_TOMBSTONE, MANIFEST_OBJECT_ID,
-    MAX_NAME_LEN,
+    capsule_primers, capsule_primers_attempt, scan_capsules, strand_section_len, CapsuleHeader,
+    LayoutKind, PoolHeader, FLAG_COMPRESSED, FLAG_ENCRYPTED, FLAG_MANIFEST, FLAG_TOMBSTONE,
+    MANIFEST_OBJECT_ID, MAX_NAME_LEN,
 };
 use crate::checksum::fnv64;
 use crate::compress;
@@ -361,7 +361,15 @@ impl ObjectStore {
         let Some((offset, cap)) = newest else {
             return Err(StorageError::ManifestMissing);
         };
-        let (stored, _, _) = decode_capsule_at(file, header, base, offset, &cap, false)?;
+        let pool_len = file.seek(SeekFrom::End(0))?;
+        if read_capsule_header_at(file, header, offset)? != cap {
+            return Err(StorageError::ManifestCorrupt {
+                reason: "capsule header changed between scan and decode".into(),
+            });
+        }
+        let mut workspace = DecodeWorkspace::new();
+        let (stored, _, _) =
+            decode_capsule_body(file, pool_len, header, base, &cap, false, &mut workspace)?;
         let text = String::from_utf8(stored).map_err(|_| StorageError::ManifestCorrupt {
             reason: "super-capsule payload is not UTF-8".into(),
         })?;
@@ -691,37 +699,27 @@ impl ObjectStore {
         Ok(AppendedCapsule { header, bytes })
     }
 
-    /// Fetches object `id`, streaming its payload into `writer`.
+    /// Fetches object `id`, streaming its payload into `writer`, through
+    /// a [`DecodeWorkspace`] owned by this call.
     ///
     /// # Errors
     ///
     /// [`StorageError::ObjectNotFound`] for unknown or tombstoned ids;
     /// [`StorageError::ManifestCorrupt`] when the manifest and pool
-    /// disagree; [`StorageError::Io`] when `writer` fails mid-stream.
+    /// disagree or a capsule header declares impossible lengths;
+    /// [`StorageError::PoolTruncated`] when a capsule runs past the end
+    /// of the pool; [`StorageError::Io`] when `writer` fails mid-stream.
     pub fn fetch(&self, id: u64, writer: &mut dyn Write) -> Result<FetchReport, StorageError> {
-        self.fetch_with(id, writer, &FetchOptions::default())
+        let mut workspace = DecodeWorkspace::new();
+        self.fetch_with_workspace(id, writer, &FetchOptions::default(), &mut workspace)
     }
 
-    /// [`ObjectStore::fetch`] with explicit [`FetchOptions`].
-    ///
-    /// # Errors
-    ///
-    /// As [`ObjectStore::fetch`].
-    pub fn fetch_with(
-        &self,
-        id: u64,
-        writer: &mut dyn Write,
-        options: &FetchOptions,
-    ) -> Result<FetchReport, StorageError> {
-        self.fetch_inner(id, writer, options, None)
-    }
-
-    /// [`ObjectStore::fetch_with`] decoding through a caller-owned
-    /// [`DecodeWorkspace`]: units decode serially in the calling thread
-    /// against the warm workspace instead of fanning out across scoped
-    /// threads with per-thread scratch. This is the serve-worker path —
+    /// [`ObjectStore::fetch`] with explicit [`FetchOptions`], decoding
+    /// every unit serially in the calling thread against a caller-owned
+    /// [`DecodeWorkspace`]. This is the serve-worker path —
     /// request-level parallelism outside, exactly one resident workspace
-    /// per worker inside. Byte-identical to [`ObjectStore::fetch_with`].
+    /// per worker inside. The bytes do not depend on what the workspace
+    /// decoded before.
     ///
     /// # Errors
     ///
@@ -732,16 +730,6 @@ impl ObjectStore {
         writer: &mut dyn Write,
         options: &FetchOptions,
         workspace: &mut DecodeWorkspace,
-    ) -> Result<FetchReport, StorageError> {
-        self.fetch_inner(id, writer, options, Some(workspace))
-    }
-
-    fn fetch_inner(
-        &self,
-        id: u64,
-        writer: &mut dyn Write,
-        options: &FetchOptions,
-        mut workspace: Option<&mut DecodeWorkspace>,
     ) -> Result<FetchReport, StorageError> {
         let entry = self
             .manifest
@@ -758,7 +746,9 @@ impl ObjectStore {
         }
         let capacity = self.capsule_capacity();
         let stride = keystream_stride_blocks(capacity);
-        let mut file = BufReader::new(File::open(self.dir.join(POOL_FILE))?);
+        let file = File::open(self.dir.join(POOL_FILE))?;
+        let pool_len = file.metadata()?.len();
+        let mut file = BufReader::new(file);
         let mut report = FetchReport::default();
         for (k, seq) in entry.capsules.clone().enumerate() {
             let centry =
@@ -788,11 +778,12 @@ impl ObjectStore {
             }
             let (mut stored, reads, dropped) = decode_capsule_body(
                 &mut file,
+                pool_len,
                 &self.header,
                 &self.base,
                 &cap,
                 options.via_recovery,
-                workspace.as_deref_mut(),
+                workspace,
             )
             .map_err(stamp_offset)?;
             if cap.flags & FLAG_ENCRYPTED != 0 {
@@ -806,6 +797,14 @@ impl ObjectStore {
                 cipher.apply_keystream(&mut stored);
             }
             let plain = if cap.flags & FLAG_COMPRESSED != 0 {
+                if cap.plain_len > capacity as u64 {
+                    return Err(StorageError::ManifestCorrupt {
+                        reason: format!(
+                            "capsule {seq} declares {} plain bytes but a capsule holds at most {capacity}",
+                            cap.plain_len
+                        ),
+                    });
+                }
                 compress::decompress(&stored, cap.plain_len as usize).map_err(|reason| {
                     StorageError::Substrate(format!("capsule {seq} decompression failed: {reason}"))
                 })?
@@ -1001,103 +1000,78 @@ fn read_capsule_header_at(
 }
 
 /// Reads + decodes one capsule's payload given its header has just been
-/// read (the reader sits at the strand section). Returns the stored bytes
-/// (still compressed/encrypted as flagged) plus read accounting.
+/// read (the reader sits at the strand section of a `pool_len`-byte
+/// pool). Every unit decodes through `workspace`, via unlabeled-pool
+/// recovery when `via_recovery` is set. Returns the stored bytes (still
+/// compressed/encrypted as flagged) plus read accounting.
+///
+/// The header's CRC only proves it was written that way, so its declared
+/// lengths are checked against the pool and the geometry before anything
+/// is allocated from them.
 fn decode_capsule_body(
     file: &mut (impl Read + Seek),
+    pool_len: u64,
     header: &PoolHeader,
     base: &Pipeline,
     cap: &CapsuleHeader,
     via_recovery: bool,
-    mut workspace: Option<&mut DecodeWorkspace>,
+    workspace: &mut DecodeWorkspace,
 ) -> Result<(Vec<u8>, usize, usize), StorageError> {
     let strand_bases = base.params().strand_bases();
+    let section = strand_section_len(cap.units, header.cols(), strand_bases);
+    let left = pool_len.saturating_sub(file.stream_position()?);
+    if section > left {
+        return Err(StorageError::PoolTruncated {
+            offset: 0,
+            reason: format!(
+                "capsule seq {} declares {} units ({section} strand-section bytes) but {left} bytes remain",
+                cap.seq, cap.units
+            ),
+        });
+    }
+    let units_hold = u64::from(cap.units).saturating_mul(base.payload_capacity() as u64);
+    if cap.stored_len > units_hold {
+        return Err(StorageError::ManifestCorrupt {
+            reason: format!(
+                "capsule seq {} declares {} stored bytes but its {} units hold {units_hold}",
+                cap.seq, cap.stored_len, cap.units
+            ),
+        });
+    }
     let units = crate::capsule::read_strands(file, cap.units, header.cols(), strand_bases)?;
     let pipeline = base
         .clone()
         .with_primers(cap.left.clone(), cap.right.clone())?;
+    let opts = pipeline.decode_options();
     let primer_len = usize::from(header.primer_len);
     let mut reads = 0usize;
     let mut dropped = 0usize;
-    // Primer prefilter: only strands carrying this capsule's primer pair
-    // may enter the decoder (the in-silico analogue of PCR selection).
-    let filtered: Vec<Vec<DnaString>> = units
-        .into_iter()
-        .map(|unit| {
-            let before = unit.len();
-            let kept: Vec<DnaString> = unit
-                .into_iter()
-                .filter(|s| strand_has_primers(s, &cap.left, &cap.right, primer_len))
-                .collect();
-            dropped += before - kept.len();
-            reads += kept.len();
-            kept
-        })
-        .collect();
     let mut stored = Vec::with_capacity(cap.stored_len as usize);
-    if via_recovery {
-        // Capsule-scoped recovery: each unit's reads go through the full
-        // unlabeled-pool pipeline (cluster → orient → demux → decode).
-        for unit in &filtered {
-            let pool = AnonymousPool::from_reads(unit.iter().cloned());
-            let (payload, _report) = match workspace.as_deref_mut() {
-                Some(ws) => pipeline.decode_pool_with_workspace(&pool, ws)?,
-                None => pipeline.decode_pool(&pool)?,
-            };
-            stored.extend_from_slice(&payload);
-        }
-    } else if let Some(ws) = workspace {
-        // Serve-worker path: serial decode against the caller's warm
-        // workspace (one resident workspace per worker, not per thread).
-        let opts = pipeline.decode_options().clone();
-        for unit in &filtered {
-            let reads = ReadPool::from_strands(unit.iter().cloned());
-            let (payload, _report) =
-                pipeline.decode_unit_with_workspace(reads.clusters(), &opts, ws)?;
-            stored.extend_from_slice(&payload);
-        }
-    } else {
-        // Direct path: clean coverage-1 clusters per unit.
-        let clusters: Vec<_> = filtered
-            .iter()
-            .map(|unit| {
-                ReadPool::from_strands(unit.iter().cloned())
-                    .clusters()
-                    .to_vec()
-            })
+    for unit in units {
+        // Primer prefilter: only strands carrying this capsule's primer
+        // pair may enter the decoder (the in-silico analogue of PCR
+        // selection).
+        let before = unit.len();
+        let kept: Vec<DnaString> = unit
+            .into_iter()
+            .filter(|s| strand_has_primers(s, &cap.left, &cap.right, primer_len))
             .collect();
-        for (payload, _report) in pipeline.decode_batch(&clusters)? {
-            stored.extend_from_slice(&payload);
-        }
+        dropped += before - kept.len();
+        reads += kept.len();
+        let (payload, _report) = if via_recovery {
+            // Capsule-scoped recovery: cluster → orient → demux → decode.
+            pipeline.decode_pool(&AnonymousPool::from_reads(kept), workspace)?
+        } else {
+            // Direct: clean coverage-1 clusters.
+            let pool = ReadPool::from_strands(kept);
+            pipeline.decode_unit_with_workspace(pool.clusters(), opts, workspace)?
+        };
+        stored.extend_from_slice(&payload);
     }
+    // Every unit yields a full unit of bytes, and stored_len was checked
+    // against that total above.
     stored.truncate(cap.stored_len as usize);
-    if (stored.len() as u64) < cap.stored_len {
-        return Err(StorageError::Substrate(format!(
-            "capsule {} decoded {} bytes, expected {}",
-            cap.seq,
-            stored.len(),
-            cap.stored_len
-        )));
-    }
     Ok((stored, reads, dropped))
-}
-
-/// Reads + decodes a whole capsule record at `offset` (header included).
-fn decode_capsule_at(
-    file: &mut (impl Read + Seek),
-    header: &PoolHeader,
-    base: &Pipeline,
-    offset: u64,
-    cap: &CapsuleHeader,
-    via_recovery: bool,
-) -> Result<(Vec<u8>, usize, usize), StorageError> {
-    let reread = read_capsule_header_at(file, header, offset)?;
-    if &reread != cap {
-        return Err(StorageError::ManifestCorrupt {
-            reason: "capsule header changed between scan and decode".into(),
-        });
-    }
-    decode_capsule_body(file, header, base, cap, via_recovery, None)
 }
 
 fn strand_has_primers(s: &DnaString, left: &Primer, right: &Primer, primer_len: usize) -> bool {
@@ -1111,7 +1085,6 @@ fn strand_has_primers(s: &DnaString, left: &Primer, right: &Primer, primer_len: 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::capsule::strand_section_len;
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir =
@@ -1254,36 +1227,83 @@ mod tests {
         let mut store = ObjectStore::create(&dir, StoreConfig::tiny().unwrap()).unwrap();
         let data = payload(250);
         let id = store.put_bytes("alpha", &data).unwrap();
-        let mut ws = DecodeWorkspace::new();
+        let other = store.put_bytes("beta", &payload(500)).unwrap();
+        let mut plain = Vec::new();
+        let plain_report = store.fetch(id, &mut plain).unwrap();
+        assert_eq!(plain, data);
         for options in [FetchOptions::default(), FetchOptions { via_recovery: true }] {
-            let mut plain = Vec::new();
-            let plain_report = store.fetch_with(id, &mut plain, &options).unwrap();
+            // Warm the workspace on another object, then poison it with
+            // a decode whose codewords all fail.
+            let mut ws = DecodeWorkspace::new();
+            store
+                .fetch_with_workspace(other, &mut Vec::new(), &options, &mut ws)
+                .unwrap();
+            let (_, poison) = store
+                .base
+                .decode_unit_with_workspace(&[], store.base.decode_options(), &mut ws)
+                .unwrap();
+            assert!(poison.failed_codewords() > 0);
             let mut pooled = Vec::new();
             let pooled_report = store
                 .fetch_with_workspace(id, &mut pooled, &options, &mut ws)
                 .unwrap();
-            assert_eq!(plain, data);
             assert_eq!(pooled, plain, "via_recovery={}", options.via_recovery);
             assert_eq!(pooled_report, plain_report);
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    #[test]
-    fn recovery_fetch_matches_direct_fetch() {
-        let dir = tmp_dir("viarecovery");
+    /// Stores `data` as a one-capsule object, rewrites that capsule's
+    /// header through `patch` (the CRC is recomputed, so the header still
+    /// validates), and fetches the object back.
+    fn fetch_with_patched_header(
+        tag: &str,
+        data: &[u8],
+        patch: impl FnOnce(&mut CapsuleHeader),
+    ) -> StorageError {
+        let dir = tmp_dir(tag);
         let mut store = ObjectStore::create(&dir, StoreConfig::tiny().unwrap()).unwrap();
-        let data = payload(200);
-        let id = store.put_bytes("alpha", &data).unwrap();
-        let mut direct = Vec::new();
-        store.fetch(id, &mut direct).unwrap();
-        let mut recovered = Vec::new();
-        store
-            .fetch_with(id, &mut recovered, &FetchOptions { via_recovery: true })
-            .unwrap();
-        assert_eq!(direct, data);
-        assert_eq!(recovered, data);
+        let id = store.put_bytes("victim", data).unwrap();
+        let seq = store.manifest().object(id).unwrap().capsules.start;
+        let offset = store.manifest().capsule(seq).unwrap().offset;
+        let path = dir.join(POOL_FILE);
+        let mut raw = std::fs::read(&path).unwrap();
+        let mut reader = std::io::Cursor::new(&raw[offset as usize..]);
+        let primer_len = usize::from(store.header.primer_len);
+        let mut cap = CapsuleHeader::read_from(&mut reader, primer_len).unwrap();
+        patch(&mut cap);
+        let mut patched = Vec::new();
+        cap.write_to(&mut patched).unwrap();
+        raw[offset as usize..offset as usize + patched.len()].copy_from_slice(&patched);
+        std::fs::write(&path, raw).unwrap();
+        let err = store.fetch(id, &mut Vec::new()).unwrap_err();
         let _ = std::fs::remove_dir_all(&dir);
+        err
+    }
+
+    #[test]
+    fn oversized_unit_count_is_typed_not_an_abort() {
+        let err = fetch_with_patched_header("huge-units", &payload(60), |cap| {
+            cap.units = u32::MAX;
+        });
+        assert!(matches!(err, StorageError::PoolTruncated { .. }), "{err}");
+    }
+
+    #[test]
+    fn oversized_stored_len_is_typed_not_an_abort() {
+        let err = fetch_with_patched_header("huge-stored", &payload(60), |cap| {
+            cap.stored_len = 1 << 50;
+        });
+        assert!(matches!(err, StorageError::ManifestCorrupt { .. }), "{err}");
+    }
+
+    #[test]
+    fn oversized_plain_len_is_typed_not_an_abort() {
+        let err = fetch_with_patched_header("huge-plain", &[0u8; 80], |cap| {
+            assert!(cap.flags & FLAG_COMPRESSED != 0, "zeros should compress");
+            cap.plain_len = 1 << 50;
+        });
+        assert!(matches!(err, StorageError::ManifestCorrupt { .. }), "{err}");
     }
 
     #[test]

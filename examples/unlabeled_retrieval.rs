@@ -53,7 +53,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // shuffle — then recover everything.
         let anon =
             AnonymousPool::from_clusters(&pool.at_coverage(12.0), scenario.anonymize_seed(0));
-        let (recovered, report) = pipeline.decode_pool(&anon)?;
+        let (recovered, report) = pipeline.decode_pool(&anon, &mut DecodeWorkspace::new())?;
         let recovery = report.recovery.expect("pool decodes carry recovery stats");
         println!("\n{name}: {} anonymous reads", anon.len());
         println!("  oracle   : exact={}", oracle == payload);

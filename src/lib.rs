@@ -66,7 +66,10 @@
 //!
 //! Batches of units encode and decode in parallel (deterministically —
 //! results are byte-identical at any thread count), and experiment
-//! harnesses share one [`Scenario`](storage::Scenario) descriptor:
+//! harnesses share one [`Scenario`](storage::Scenario) descriptor. The
+//! decode side of [`Pipeline`](storage::Pipeline) is five entry points
+//! over one body: `decode_unit`, `decode_unit_with_workspace`,
+//! `decode_batch`, `recover_pool` and `decode_pool`:
 //!
 //! ```
 //! use dna_skew::prelude::*;
@@ -81,7 +84,9 @@
 //!     .seed(42);
 //! let pools = pipeline.sequence_batch(&scenario.backend(), &units, scenario.seed);
 //! let clusters: Vec<Vec<Cluster>> = pools.iter().map(|p| p.clusters().to_vec()).collect();
-//! for (u, (decoded, report)) in pipeline.decode_batch(&clusters)?.iter().enumerate() {
+//! for (u, (decoded, report)) in pipeline
+//!     .decode_batch(&clusters, pipeline.decode_options())?
+//!     .iter().enumerate() {
 //!     assert_eq!(decoded[..30], payloads[u][..], "unit {u}");
 //!     assert!(report.is_error_free());
 //! }
@@ -125,9 +130,9 @@ pub mod prelude {
     pub use dna_server::{serve_tcp, LocalClient, ServeConfig, Server};
     pub use dna_storage::{
         min_coverage, min_coverage_with, quality_sweep, Archive, ArchiveCodec, BaselineLayout,
-        CodecParams, DecodeReport, FileEntry, GiniLayout, Layout, Pipeline, PipelineBuilder,
-        PriorityLayout, ProtectionPlan, ProtectionPlanner, RankingPolicy, RecoveryPipeline,
-        RecoveryReport, RetrieveOptions, Scenario, SkewProfile, UnitLayout,
+        CodecParams, DecodeReport, DecodeWorkspace, FileEntry, GiniLayout, Layout, Pipeline,
+        PipelineBuilder, PriorityLayout, ProtectionPlan, ProtectionPlanner, RankingPolicy,
+        RecoveryPipeline, RecoveryReport, RetrieveOptions, Scenario, SkewProfile, UnitLayout,
     };
     pub use dna_strand::{Base, DnaString};
 }

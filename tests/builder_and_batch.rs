@@ -86,7 +86,9 @@ fn batch_round_trip_matches_per_unit_for_all_layouts() {
         assert_eq!(pools.len(), batch_units.len());
         let per_unit_clusters: Vec<Vec<Cluster>> =
             pools.iter().map(|p| p.clusters().to_vec()).collect();
-        let decoded_batch = pipeline.decode_batch(&per_unit_clusters).unwrap();
+        let decoded_batch = pipeline
+            .decode_batch(&per_unit_clusters, pipeline.decode_options())
+            .unwrap();
         for (u, (decoded, report)) in decoded_batch.iter().enumerate() {
             let (serial_decoded, serial_report) =
                 pipeline.decode_unit(&per_unit_clusters[u]).unwrap();
@@ -160,7 +162,12 @@ fn trace_replay_round_trips_a_recorded_batch() {
         assert_eq!(pool.clusters(), recorded[u].clusters(), "unit {u}");
     }
     let clusters: Vec<Vec<Cluster>> = replayed.iter().map(|p| p.clusters().to_vec()).collect();
-    for (u, (decoded, report)) in pipeline.decode_batch(&clusters).unwrap().iter().enumerate() {
+    for (u, (decoded, report)) in pipeline
+        .decode_batch(&clusters, pipeline.decode_options())
+        .unwrap()
+        .iter()
+        .enumerate()
+    {
         assert_eq!(decoded, &payloads[u], "unit {u}");
         assert!(report.is_error_free(), "unit {u}");
     }

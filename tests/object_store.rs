@@ -229,10 +229,11 @@ fn recovery_fetch_is_byte_identical_to_direct_fetch() {
     store.fetch(id, &mut direct).expect("direct");
     let mut recovered = Vec::new();
     store
-        .fetch_with(
+        .fetch_with_workspace(
             id,
             &mut recovered,
             &dna_skew::object::FetchOptions { via_recovery: true },
+            &mut DecodeWorkspace::new(),
         )
         .expect("via recovery");
     assert_eq!(direct, payload);

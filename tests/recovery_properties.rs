@@ -72,7 +72,7 @@ proptest! {
         );
         let (labeled, _) = pipeline.decode_unit(pool.clusters()).expect("labeled decode");
         let (recovered, report) = pipeline
-            .decode_pool(&pool.anonymize(anon_seed))
+            .decode_pool(&pool.anonymize(anon_seed), &mut DecodeWorkspace::new())
             .expect("recovered decode");
         prop_assert_eq!(&labeled, &recovered);
         prop_assert_eq!(&recovered, &payload);
@@ -95,9 +95,9 @@ proptest! {
         let pool = pipeline
             .sequence(&unit, ErrorModel::noiseless(), CoverageModel::Fixed(3), seed)
             .anonymize(seed);
-        let (a, _) = pipeline.decode_pool(&pool).expect("decode");
+        let (a, _) = pipeline.decode_pool(&pool, &mut DecodeWorkspace::new()).expect("decode");
         let (b, _) = pipeline
-            .decode_pool(&pool.reshuffled(shuffle_seed))
+            .decode_pool(&pool.reshuffled(shuffle_seed), &mut DecodeWorkspace::new())
             .expect("decode shuffled");
         prop_assert_eq!(a, b);
     }
@@ -118,8 +118,8 @@ proptest! {
         let flipped = AnonymousPool::from_reads(
             anon.reads().iter().map(|r| r.reverse_complement()),
         );
-        let (a, _) = pipeline.decode_pool(&anon).expect("decode");
-        let (b, _) = pipeline.decode_pool(&flipped).expect("decode flipped");
+        let (a, _) = pipeline.decode_pool(&anon, &mut DecodeWorkspace::new()).expect("decode");
+        let (b, _) = pipeline.decode_pool(&flipped, &mut DecodeWorkspace::new()).expect("decode flipped");
         prop_assert_eq!(&a, &b);
         prop_assert_eq!(&a, &payload);
     }
@@ -144,7 +144,7 @@ proptest! {
                 seed,
             )
             .anonymize(seed ^ 2);
-        match pipeline.decode_pool(&anon) {
+        match pipeline.decode_pool(&anon, &mut DecodeWorkspace::new()) {
             Ok((_, report)) => {
                 let r = report.recovery.expect("recovery stats present");
                 prop_assert_eq!(r.total_reads, anon.len());

@@ -123,7 +123,10 @@ fn cell_summary(
     let clusters: Vec<Vec<Cluster>> = pools.iter().map(|p| p.at_coverage(cov)).collect();
     let mut decoded = Vec::new();
     let (mut lost, mut corrected, mut failed) = (0usize, 0usize, 0usize);
-    for (bytes, report) in pipeline.decode_batch(&clusters).expect("decode") {
+    for (bytes, report) in pipeline
+        .decode_batch(&clusters, pipeline.decode_options())
+        .expect("decode")
+    {
         decoded.extend_from_slice(&bytes);
         lost += report.lost_columns;
         corrected += report.total_corrected();
@@ -162,7 +165,10 @@ fn planned_cell_summary() -> String {
     let clusters: Vec<Vec<Cluster>> = pools.iter().map(|p| p.at_coverage(cov)).collect();
     let mut decoded = Vec::new();
     let (mut lost, mut corrected, mut failed) = (0usize, 0usize, 0usize);
-    for (bytes, report) in pipeline.decode_batch(&clusters).expect("decode") {
+    for (bytes, report) in pipeline
+        .decode_batch(&clusters, pipeline.decode_options())
+        .expect("decode")
+    {
         decoded.extend_from_slice(&bytes);
         lost += report.lost_columns;
         corrected += report.total_corrected();
@@ -212,7 +218,10 @@ fn transcoded_cell_summary(spec: TranscoderSpec, preset: &str, channel: &Channel
     let clusters: Vec<Vec<Cluster>> = pools.iter().map(|p| p.at_coverage(cov)).collect();
     let mut decoded = Vec::new();
     let (mut lost, mut corrected, mut failed) = (0usize, 0usize, 0usize);
-    for (bytes, report) in pipeline.decode_batch(&clusters).expect("decode") {
+    for (bytes, report) in pipeline
+        .decode_batch(&clusters, pipeline.decode_options())
+        .expect("decode")
+    {
         decoded.extend_from_slice(&bytes);
         lost += report.lost_columns;
         corrected += report.total_corrected();
@@ -342,7 +351,9 @@ fn recovery_cell_summary(
     let mut decoded = Vec::new();
     let mut merged = RecoveryReport::default();
     let mut failed = 0usize;
-    for (bytes, report) in pipeline.decode_pool_batch(&anonymous).expect("decode") {
+    let mut workspace = DecodeWorkspace::new();
+    for pool in &anonymous {
+        let (bytes, report) = pipeline.decode_pool(pool, &mut workspace).expect("decode");
         decoded.extend_from_slice(&bytes);
         failed += report.failed_codewords();
         merged.merge_from(&report.recovery.expect("recovery stats present"));
